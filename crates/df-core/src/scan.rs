@@ -39,12 +39,13 @@
 //! assert_eq!(expr.children()[0].name(), "SCAN_CSV");
 //! ```
 
+use std::collections::HashSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use df_types::cell::Cell;
-use df_types::domain::Domain;
+use df_types::domain::{is_null_token, Domain};
 
 use crate::algebra::{CmpOp, Predicate};
 
@@ -116,26 +117,7 @@ impl ColumnChunkStats {
             self.nulls += 1;
         } else {
             if let Some(text) = cell.as_str() {
-                self.lexical = Some(match self.lexical.take() {
-                    None => (text.to_string(), text.to_string()),
-                    Some((lo, hi)) => (
-                        if text < lo.as_str() {
-                            text.to_string()
-                        } else {
-                            lo
-                        },
-                        if text > hi.as_str() {
-                            text.to_string()
-                        } else {
-                            hi
-                        },
-                    ),
-                });
-                if let Ok(v) = text.trim().parse::<f64>() {
-                    if !v.is_nan() {
-                        self.observe_numeric(v);
-                    }
-                }
+                self.observe_text(text);
             } else if let Some(v) = cell.as_f64() {
                 if !v.is_nan() {
                     self.observe_numeric(v);
@@ -144,6 +126,43 @@ impl ColumnChunkStats {
             if self.distinct < DISTINCT_CAP && !distinct_seen.contains(cell) {
                 distinct_seen.push(cell.clone());
                 self.distinct = distinct_seen.len();
+            }
+        }
+    }
+
+    /// Fold one raw CSV field into the summary without building its cell: a null
+    /// spelling counts as a null, any other text as the [`Cell::Str`] a raw chunk
+    /// read would produce — so folding a chunk's fields gives exactly what
+    /// [`ColumnChunkStats::observe`] gives over that chunk's raw cells.
+    /// `distinct_seen` is the per-column scratch set of distinct texts.
+    pub fn observe_raw(&mut self, raw: &str, distinct_seen: &mut HashSet<String>) {
+        if is_null_token(raw) {
+            self.nulls += 1;
+            return;
+        }
+        self.observe_text(raw);
+        if self.distinct < DISTINCT_CAP && !distinct_seen.contains(raw) {
+            distinct_seen.insert(raw.to_string());
+            self.distinct = distinct_seen.len();
+        }
+    }
+
+    /// The string-cell half of an observation: lexical bounds, plus numeric bounds
+    /// when the text parses as a non-NaN `f64`.
+    fn observe_text(&mut self, text: &str) {
+        match &mut self.lexical {
+            None => self.lexical = Some((text.to_string(), text.to_string())),
+            Some((lo, hi)) => {
+                if text < lo.as_str() {
+                    text.clone_into(lo);
+                } else if text > hi.as_str() {
+                    text.clone_into(hi);
+                }
+            }
+        }
+        if let Ok(v) = text.trim().parse::<f64>() {
+            if !v.is_nan() {
+                self.observe_numeric(v);
             }
         }
     }
@@ -544,6 +563,13 @@ mod tests {
         assert_eq!(stats.numeric_count, 3);
         assert_eq!(stats.lexical, Some(("12".to_string(), "zebra".to_string())));
         assert_eq!(stats.distinct, 3);
+        // Folding the raw fields gives the same summary as folding their cells.
+        let mut raw_stats = ColumnChunkStats::default();
+        let mut raw_seen = HashSet::new();
+        for raw in ["5", "12", "5", "zebra", " NaN "] {
+            raw_stats.observe_raw(raw, &mut raw_seen);
+        }
+        assert_eq!(raw_stats, stats);
     }
 
     #[test]

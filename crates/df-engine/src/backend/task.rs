@@ -130,7 +130,9 @@ impl BandTask {
                     total_bytes: *total_bytes,
                     chunks: Vec::new(),
                 };
-                Ok(vec![csv::read_csv_chunk(path, options, &plan, chunk)?])
+                Ok(vec![csv::read_csv_chunk(
+                    path, options, &plan, chunk, None, None,
+                )?])
             }
             BandTask::ApplyDomains(domains) => Ok(vec![csv::apply_domains(one(inputs)?, domains)?]),
         }

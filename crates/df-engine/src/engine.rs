@@ -1606,6 +1606,43 @@ mod tests {
     }
 
     #[test]
+    fn prefix_of_a_projected_scan_prunes_columns() {
+        // `head()` of PROJECT(SELECT(scan)) must parse only the projected (and
+        // predicate) columns, exactly like a full execution of the same pipeline.
+        let (path, content) = scan_csv_file("prefix.csv");
+        let expr = scan_expr(&path, "prefix-test")
+            .select(id_lt(30))
+            .project(ColumnSelector::ByLabels(vec![cell("score"), cell("id")]));
+        let engine = small_engine();
+        let before = engine.pushdown_stats();
+        let head = engine.execute_prefix(&expr, 5).unwrap();
+        let after = engine.pushdown_stats();
+        assert_eq!(after.predicates_pushed - before.predicates_pushed, 1);
+        assert_eq!(after.projections_pushed - before.projections_pushed, 1);
+        assert_eq!(
+            after.columns_pruned - before.columns_pruned,
+            2,
+            "name and tag never parse under head()"
+        );
+        let serial = df_storage::csv::read_csv_str(
+            &content,
+            &CsvOptions {
+                infer_schema: true,
+                ..CsvOptions::default()
+            },
+        )
+        .unwrap();
+        let expected = ops::rowwise::projection(
+            &ops::rowwise::selection(&serial, &id_lt(30)).unwrap(),
+            &ColumnSelector::ByLabels(vec![cell("score"), cell("id")]),
+        )
+        .unwrap()
+        .head(5);
+        assert!(head.same_data(&expected), "{head}\n{expected}");
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
     fn scan_statistics_are_cached_per_identity() {
         let (path, _content) = scan_csv_file("cached.csv");
         let engine = small_engine();

@@ -9,26 +9,32 @@
 //! 1. **Plan** — one streaming, quote-aware pass cuts the file's byte range into
 //!    band-sized chunks at record boundaries, counting rows per chunk
 //!    ([`df_storage::csv::plan_csv_chunks`]). No cells are allocated.
-//! 2. **Parse** — each worker seeks to its chunk, parses it into a raw (`Σ*`) band,
-//!    and checks the band straight into the session's [`SpillStore`] (when a memory
-//!    budget is set). Peak residency therefore stays within *budget + one band per
-//!    worker thread* — the same bound every other operator obeys — no matter how much
-//!    larger than memory the file is.
-//! 3. **Reconcile** — for `infer_schema` ingests, each worker also returns its band's
-//!    composable induction summaries; the summaries are joined across bands and a
-//!    second banded pass re-casts every band with the reconciled per-column domains,
-//!    so the result is cell-for-cell identical to the serial reader.
+//! 2. **Parse** — each worker seeks to its chunk and splits its records into borrowed
+//!    field slices. Eager ingest builds a raw (`Σ*`) band and checks it straight into
+//!    the session's [`SpillStore`] (when a memory budget is set), so peak residency
+//!    stays within *budget + one band per worker thread* however much larger than
+//!    memory the file is. A lazy `SCAN_CSV` leaf first runs [`collect_scan_stats`],
+//!    which folds every slice into [`ColumnChunkStats`] and [`InductionSummary`]
+//!    without building a cell; each materialisation ([`scan_csv_grid`]) then builds
+//!    cells only for the kept columns, typed straight from their slices. The
+//!    optimizer folds SELECTION and PROJECTION into the leaf before it pushes a
+//!    `head()`'s LIMIT, so even the first look at a pipeline prunes columns.
+//! 3. **Reconcile** — for `infer_schema` ingests, the per-band induction summaries
+//!    are joined across bands into one domain per column. Eager ingest re-casts every
+//!    band with them in a second banded pass; a scan types its fields with them while
+//!    parsing. Either way the result is cell-for-cell identical to the serial reader.
 //!
 //! The produced [`PartitionGrid`] goes straight behind a `FrameHandle` — the file is
 //! never resident as one `DataFrame` at any point of the ingest.
 
+use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 
 use df_core::algebra::ColumnSelector;
 use df_core::columnar::ColumnBlock;
 use df_core::ops;
-use df_core::scan::{ChunkStats, ScanCsv, ScanStats};
+use df_core::scan::{ChunkStats, ColumnChunkStats, ScanCsv, ScanStats};
 use df_storage::csv::{self, CsvChunk, CsvIngestPlan, CsvOptions};
 use df_storage::spill::SpillStore;
 use df_types::cell::Cell;
@@ -190,10 +196,11 @@ fn tuned_band_rows(
 
 /// Collect per-chunk column statistics (and, for inferring scans, the reconciled
 /// per-column domains) for a CSV file: plan the chunks — re-planning with a smaller
-/// band when the memory budget and worker count call for it — then parse each chunk
-/// transiently on the worker pool, folding its cells into
-/// [`df_core::scan::ColumnChunkStats`]. Nothing is retained beyond the statistics;
-/// the engine caches the result per scan identity so later statements pay nothing.
+/// band when the memory budget and worker count call for it — then visit each chunk's
+/// records on the worker pool, folding every field slice straight into its column's
+/// [`ColumnChunkStats`] and [`InductionSummary`]. No cell is built and nothing is
+/// retained beyond the statistics; the engine caches the result per scan identity so
+/// later statements pay nothing.
 pub fn collect_scan_stats(
     executor: &ParallelExecutor,
     partitioning: PartitionConfig,
@@ -210,13 +217,23 @@ pub fn collect_scan_stats(
     ) {
         plan = csv::plan_csv_chunks(path, options, tuned)?;
     }
+    let n_cols = plan.n_cols;
     let per_chunk = executor.par_map(plan.chunks.clone(), |_, chunk| {
-        let band = csv::read_csv_chunk(path, options, &plan, &chunk)?;
-        let columns = csv::chunk_column_stats(&band);
-        let summaries = options
-            .infer_schema
-            .then(|| csv::band_induction_summaries(&band));
-        Ok((chunk, columns, summaries))
+        let mut columns = vec![ColumnChunkStats::default(); n_cols];
+        let mut seen = vec![HashSet::new(); n_cols];
+        let inducing = if options.infer_schema { n_cols } else { 0 };
+        let mut summaries: Vec<_> = (0..inducing)
+            .map(|_| InductionSummary::begin_scan())
+            .collect();
+        csv::for_each_chunk_record(path, options, &plan, &chunk, |fields| {
+            for (j, field) in fields.iter().enumerate() {
+                columns[j].observe_raw(field, &mut seen[j]);
+                if let Some(summary) = summaries.get_mut(j) {
+                    summary.push(field);
+                }
+            }
+        })?;
+        Ok((chunk, columns, options.infer_schema.then_some(summaries)))
     })?;
     let mut chunks = Vec::with_capacity(per_chunk.len());
     let mut band_summaries: Vec<Vec<InductionSummary>> = Vec::new();
@@ -252,16 +269,17 @@ fn rebuild_plan(stats: &ScanStats, options: &CsvOptions) -> CsvIngestPlan {
         n_cols: stats.n_cols,
         total_rows: stats.total_rows,
         total_bytes: stats.total_bytes,
-        chunks: stats
-            .chunks
-            .iter()
-            .map(|c| CsvChunk {
-                start_byte: c.start_byte,
-                end_byte: c.end_byte,
-                rows: c.rows,
-                start_row: c.start_row,
-            })
-            .collect(),
+        chunks: stats.chunks.iter().map(csv_chunk).collect(),
+    }
+}
+
+/// The byte and row range of a chunk the statistics describe.
+fn csv_chunk(c: &ChunkStats) -> CsvChunk {
+    CsvChunk {
+        start_byte: c.start_byte,
+        end_byte: c.end_byte,
+        rows: c.rows,
+        start_row: c.start_row,
     }
 }
 
@@ -273,7 +291,8 @@ fn rebuild_plan(stats: &ScanStats, options: &CsvOptions) -> CsvIngestPlan {
 ///   ([`df_core::scan::ScanStats::surviving_chunks`]);
 /// * **column pruning** — with a pushed projection, each worker splits and
 ///   materialises only the projected columns plus whatever extra columns the pushed
-///   predicate reads ([`csv::read_csv_chunk_cols`]);
+///   predicate reads, typing each field straight from its text with the file-wide
+///   reconciled domains ([`csv::read_csv_chunk`]);
 /// * **residual filtering** — the predicate runs over each parsed band *before* it
 ///   checks into the store, so filtered-out rows never occupy budget.
 ///
@@ -320,12 +339,7 @@ pub fn scan_csv_grid(
     let survivors: Vec<CsvChunk> = stats
         .surviving_chunks(scan.predicate.as_ref())
         .into_iter()
-        .map(|c| CsvChunk {
-            start_byte: c.start_byte,
-            end_byte: c.end_byte,
-            rows: c.rows,
-            start_row: c.start_row,
-        })
+        .map(csv_chunk)
         .collect();
     let chunks_skipped = (stats.chunks.len() - survivors.len()) as u64;
     let mut report = ScanReport {
@@ -366,15 +380,15 @@ pub fn scan_csv_grid(
     let parsed = executor.par_map(survivors, |_, chunk| {
         let band = retry.run(|_| {
             df_types::fail::check("ingest.read")?;
-            match &keep {
-                Some(keep) => csv::read_csv_chunk_cols(path_of(scan), options, &plan, &chunk, keep),
-                None => csv::read_csv_chunk(path_of(scan), options, &plan, &chunk),
-            }
+            csv::read_csv_chunk(
+                &scan.path,
+                options,
+                &plan,
+                &chunk,
+                keep.as_deref(),
+                parse_domains.as_deref(),
+            )
         })?;
-        let band = match &parse_domains {
-            Some(domains) => csv::apply_domains(band, domains)?,
-            None => band,
-        };
         let band = match &scan.predicate {
             Some(pred) => ops::rowwise::selection(&band, pred)?,
             None => band,
@@ -402,10 +416,6 @@ pub fn scan_csv_grid(
     let grid = PartitionGrid::from_band_partitions(parts)
         .with_scan_schema(scan_output_schema(stats, scan), scan.predicate.is_none());
     Ok((grid, report))
-}
-
-fn path_of(scan: &ScanCsv) -> &Path {
-    scan.path.as_path()
 }
 
 /// The scan's output schema — projected labels (or all file labels) paired with

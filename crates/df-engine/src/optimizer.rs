@@ -114,14 +114,11 @@ pub fn optimize(expr: &AlgebraExpr, config: OptimizerConfig) -> (AlgebraExpr, Re
                 changed = true;
             }
         }
-        if config.push_limits {
-            let (next, hits) = push_limits(&current);
-            if hits > 0 {
-                stats.limits_pushed += hits;
-                current = next;
-                changed = true;
-            }
-        }
+        // Scan folds run before limit pushdown: pushing a LIMIT first would wedge it
+        // between the scan and the SELECTION/PROJECTION above it
+        // (`LIMIT(PROJECT(SELECT(scan)))` → `PROJECT(LIMIT(scan[pred]))`), and the
+        // projection could then never reach the scan — a `head()` would parse every
+        // column of the file.
         if config.push_scan_predicates {
             let (next, hits) = push_scan_predicates(&current);
             if hits > 0 {
@@ -134,6 +131,14 @@ pub fn optimize(expr: &AlgebraExpr, config: OptimizerConfig) -> (AlgebraExpr, Re
             let (next, hits) = push_scan_projections(&current);
             if hits > 0 {
                 stats.projections_pushed += hits;
+                current = next;
+                changed = true;
+            }
+        }
+        if config.push_limits {
+            let (next, hits) = push_limits(&current);
+            if hits > 0 {
+                stats.limits_pushed += hits;
                 current = next;
                 changed = true;
             }
@@ -558,6 +563,34 @@ mod tests {
                 assert!(s.predicate.is_some());
             }
             other => panic!("expected a bare scan, got {}", other.name()),
+        }
+    }
+
+    #[test]
+    fn head_of_a_projected_filtered_scan_keeps_both_folds() {
+        // `head()` of PROJECT(SELECT(scan)): the scan folds run before the LIMIT can
+        // push below the projection, so both fold and the LIMIT sits on the scan.
+        let expr = scan()
+            .select(gt_a(1))
+            .project(ColumnSelector::ByLabels(vec![cell("a"), cell("b")]))
+            .limit(5, false);
+        let (optimized, stats) = optimize(&expr, OptimizerConfig::default());
+        assert_eq!(stats.predicates_pushed, 1);
+        assert_eq!(stats.projections_pushed, 1);
+        assert_eq!(stats.limits_pushed, 0);
+        match &optimized {
+            AlgebraExpr::Limit {
+                input,
+                k: 5,
+                from_end: false,
+            } => match input.as_ref() {
+                AlgebraExpr::ScanCsv(s) => {
+                    assert_eq!(s.projection, Some(vec![cell("a"), cell("b")]));
+                    assert_eq!(format!("{:?}", s.predicate), format!("{:?}", Some(gt_a(1))));
+                }
+                other => panic!("expected LIMIT(SCAN_CSV), got LIMIT({})", other.name()),
+            },
+            other => panic!("expected LIMIT(SCAN_CSV), got {}", other.name()),
         }
     }
 

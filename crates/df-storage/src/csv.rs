@@ -20,8 +20,11 @@
 //!    boundaries) and cuts the byte range into chunks of whole records, counting the
 //!    data rows per chunk as it goes. No cell is allocated.
 //! 2. [`read_csv_chunk`] — parse one chunk independently (each worker seeks to its
-//!    byte range), producing a raw (`Σ*`) band whose positional row labels already
-//!    carry the global offsets the plan recorded.
+//!    byte range) into a band whose positional row labels already carry the global
+//!    offsets the plan recorded. Cells are allocated only for the kept columns, and
+//!    once the reconciled domains are known each field is typed straight from its
+//!    text. [`for_each_chunk_record`] runs the same record loop with no cell at all,
+//!    handing each record's fields to a callback as slices (the scan's statistics).
 //! 3. [`band_induction_summaries`] / [`reconcile_domains`] / [`apply_domains`] — the
 //!    schema-reconciliation pass for `infer_schema` ingests: each band is summarised
 //!    with a composable [`InductionSummary`], the summaries are joined across bands
@@ -33,15 +36,17 @@
 //! finished band into the session's spill store; this module stays single-threaded
 //! and engine-agnostic.
 //!
-//! Both the serial and the chunked readers share one record scanner, so quoted
-//! embedded newlines, CRLF line endings and trailing-delimiter rows parse identically
-//! in both modes (the regression suite below pins this down).
+//! Every reader shares one record scanner and one field splitter, so quoted embedded
+//! newlines, CRLF line endings and trailing-delimiter rows parse identically in all
+//! modes (the regression suite below pins this down). Fields of a record without
+//! quotes are borrowed slices of the input; only quoted records are copied.
 
+use std::borrow::Cow;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use df_types::cell::Cell;
-use df_types::domain::Domain;
+use df_types::domain::{is_null_token, Domain};
 use df_types::error::{DfError, DfResult};
 use df_types::infer::InductionSummary;
 use df_types::labels::Labels;
@@ -70,35 +75,39 @@ impl Default for CsvOptions {
     }
 }
 
-/// Parse one CSV record, honouring double-quote quoting and embedded delimiters (and,
-/// since the record scanner keeps them intact, embedded newlines).
-fn split_record(line: &str, delimiter: char) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut current = String::new();
+/// Split one CSV record into `fields`, honouring double-quote quoting (`""` inside
+/// quotes is a literal quote) and embedded delimiters and newlines. `quoted` says
+/// whether the record may hold a quote (the record scanner knows): a record without
+/// one splits into borrowed slices; one with a quote runs the quote state machine,
+/// and its fields are copies.
+fn split_fields<'a>(
+    record: &'a str,
+    delimiter: char,
+    quoted: bool,
+    fields: &mut Vec<Cow<'a, str>>,
+) {
+    fields.clear();
+    if !quoted {
+        fields.extend(record.split(delimiter).map(Cow::Borrowed));
+        return;
+    }
+    let mut field = String::new();
     let mut in_quotes = false;
-    let mut chars = line.chars().peekable();
+    let mut chars = record.chars().peekable();
     while let Some(c) = chars.next() {
-        if in_quotes {
-            if c == '"' {
-                if chars.peek() == Some(&'"') {
-                    current.push('"');
-                    chars.next();
-                } else {
-                    in_quotes = false;
-                }
+        if c == '"' {
+            if in_quotes && chars.next_if_eq(&'"').is_some() {
+                field.push('"');
             } else {
-                current.push(c);
+                in_quotes = !in_quotes;
             }
-        } else if c == '"' {
-            in_quotes = true;
-        } else if c == delimiter {
-            fields.push(std::mem::take(&mut current));
+        } else if c == delimiter && !in_quotes {
+            fields.push(Cow::Owned(std::mem::take(&mut field)));
         } else {
-            current.push(c);
+            field.push(c);
         }
     }
-    fields.push(current);
-    fields
+    fields.push(Cow::Owned(field));
 }
 
 /// Quote a field if it contains the delimiter, a quote, or a newline.
@@ -114,101 +123,147 @@ fn quote_field(field: &str, delimiter: char) -> String {
     }
 }
 
-/// Iterator over the records of a CSV document: splits at *unquoted* newlines only
-/// (a `\n` inside a quoted field is data, not a record boundary) and strips the `\r`
-/// of a CRLF terminator. The quote state machine matches [`split_record`]'s, so a
-/// record the scanner yields is always split into the fields the writer produced.
-struct Records<'a> {
-    content: &'a str,
-    pos: usize,
-}
-
-impl<'a> Records<'a> {
-    fn new(content: &'a str) -> Self {
-        Records { content, pos: 0 }
+/// Split the first record off a CSV document at its first *unquoted* newline (a
+/// `\n` inside a quoted field is data, not a record boundary), stripping the `\r` of
+/// a CRLF terminator. Returns the record, whether it may hold a quote, and the rest
+/// of the document. The quote state machine matches [`split_fields`]'s, so a record
+/// is always split into the fields the writer produced.
+fn next_record(content: &str) -> Option<(&str, bool, &str)> {
+    if content.is_empty() {
+        return None;
     }
-}
-
-impl<'a> Iterator for Records<'a> {
-    type Item = &'a str;
-
-    fn next(&mut self) -> Option<&'a str> {
-        let bytes = self.content.as_bytes();
-        if self.pos >= bytes.len() {
-            return None;
-        }
-        let start = self.pos;
+    // The next newline ends the record unless a quote precedes it; only then does the
+    // quote state machine run. `""` inside quotes exits and immediately re-enters:
+    // net unchanged, exactly like the field splitter's escape handling.
+    let newline = content.find('\n');
+    let quoted = content[..newline.unwrap_or(content.len())].contains('"');
+    let end = if quoted {
         let mut in_quotes = false;
-        let mut i = start;
-        while i < bytes.len() {
-            match bytes[i] {
-                // `""` inside quotes exits and immediately re-enters: net unchanged,
-                // exactly like the field splitter's escape handling.
-                b'"' => in_quotes = !in_quotes,
-                b'\n' if !in_quotes => {
-                    let mut end = i;
-                    if end > start && bytes[end - 1] == b'\r' {
-                        end -= 1;
-                    }
-                    self.pos = i + 1;
-                    return Some(&self.content[start..end]);
-                }
-                _ => {}
-            }
-            i += 1;
+        content.bytes().position(|byte| {
+            in_quotes ^= byte == b'"';
+            byte == b'\n' && !in_quotes
+        })
+    } else {
+        newline
+    };
+    // A final record without a terminating newline keeps its `\r` as data, mirroring
+    // `BufRead::lines`.
+    Some(match end {
+        Some(end) => {
+            let record = &content[..end];
+            (
+                record.strip_suffix('\r').unwrap_or(record),
+                quoted,
+                &content[end + 1..],
+            )
         }
-        // Final record without a terminating newline (its `\r`, if any, is data —
-        // mirroring `BufRead::lines`).
-        self.pos = bytes.len();
-        Some(&self.content[start..])
-    }
+        None => (content, quoted, ""),
+    })
 }
 
-/// Parse data records into per-column cell vectors. `n_cols` is the expected arity
-/// (`None` derives it from the first non-empty record, the headerless serial path);
-/// `row_offset` is the global index of the first data record, used so a ragged-row
-/// error reports the same row number no matter which chunk found it.
-fn parse_data_records<'a>(
-    records: impl Iterator<Item = &'a str>,
+/// The one record loop behind every reader: split each non-empty record of
+/// `content` into borrowed fields, check its arity, and hand the fields to `visit`.
+/// `n_cols` is the expected arity (`None` derives it from the first non-empty record,
+/// the headerless serial path); `row_offset` is the global index of the first data
+/// record, so a ragged-row error reports the same row no matter which chunk found
+/// it. Returns the arity and the number of records visited.
+fn for_each_record<'a>(
+    content: &'a str,
     delimiter: char,
     n_cols: Option<usize>,
     row_offset: usize,
-) -> DfResult<(Vec<Vec<Cell>>, usize, usize)> {
+    mut visit: impl FnMut(&[Cow<'a, str>]),
+) -> DfResult<(usize, usize)> {
     let mut n_cols = n_cols;
-    let mut columns: Vec<Vec<Cell>> = match n_cols {
-        Some(n) => vec![Vec::new(); n],
-        None => Vec::new(),
-    };
-    let mut row_count = 0usize;
-    for record in records {
+    let mut fields: Vec<Cow<'a, str>> = Vec::new();
+    let mut rows = 0usize;
+    let mut rest = content;
+    while let Some((record, quoted, tail)) = next_record(rest) {
+        rest = tail;
         if record.is_empty() {
             continue;
         }
-        let fields = split_record(record, delimiter);
-        let expected = *n_cols.get_or_insert_with(|| {
-            columns = vec![Vec::new(); fields.len()];
-            fields.len()
-        });
+        split_fields(record, delimiter, quoted, &mut fields);
+        let expected = *n_cols.get_or_insert(fields.len());
         if fields.len() != expected {
             return Err(DfError::shape(
                 format!("{expected} fields per record"),
-                format!(
-                    "{} fields at data row {}",
-                    fields.len(),
-                    row_offset + row_count
-                ),
+                format!("{} fields at data row {}", fields.len(), row_offset + rows),
             ));
         }
-        for (slot, field) in columns.iter_mut().zip(fields) {
-            if df_types::domain::is_null_token(&field) {
-                slot.push(Cell::Null);
-            } else {
-                slot.push(Cell::Str(field));
-            }
-        }
-        row_count += 1;
+        visit(&fields);
+        rows += 1;
     }
-    Ok((columns, n_cols.unwrap_or(0), row_count))
+    Ok((n_cols.unwrap_or(0), rows))
+}
+
+/// The raw (`Σ*`) cell of a field: null for a null spelling, the text otherwise.
+fn raw_cell(field: &str) -> Cell {
+    if is_null_token(field) {
+        Cell::Null
+    } else {
+        Cell::Str(field.to_string())
+    }
+}
+
+/// Whether a column of this domain keeps its raw cells (and only caches the domain)
+/// instead of being parsed with `p_i` — what `Column::parse_in_place` does.
+fn keeps_raw_cells(domain: Domain) -> bool {
+    matches!(domain, Domain::Str | Domain::Composite)
+}
+
+/// Leave a parsed column's schema slot exactly as `Column::parse_in_place` leaves it:
+/// the domain is recorded as induced, and parsed (non-string) domains are then
+/// declared. A later mutation of a string column therefore re-induces, like serial.
+fn settle_domain(column: &mut Column, domain: Domain) {
+    column.note_induced_domain(domain);
+    if !keeps_raw_cells(domain) {
+        column.declare_domain(domain);
+    }
+}
+
+/// Parse the records of `content` into columns. `keep` selects source positions in
+/// output order (`None`: every column); `domains`, aligned with the output columns,
+/// types each field straight from its text (`None`: raw cells). Returns the columns,
+/// the record arity and the row count.
+fn parse_columns(
+    content: &str,
+    delimiter: char,
+    n_cols: Option<usize>,
+    row_offset: usize,
+    keep: Option<&[usize]>,
+    domains: Option<&[Domain]>,
+) -> DfResult<(Vec<Column>, usize, usize)> {
+    let mut cells: Vec<Vec<Cell>> = Vec::new();
+    let (n_cols, rows) = for_each_record(content, delimiter, n_cols, row_offset, |fields| {
+        if cells.is_empty() {
+            cells.resize_with(keep.map_or(fields.len(), <[usize]>::len), Vec::new);
+        }
+        for (j, column) in cells.iter_mut().enumerate() {
+            let field = &fields[keep.map_or(j, |keep| keep[j])];
+            // Typed the way `Column::parse_in_place` types a raw cell: unparseable
+            // entries become null, like the lenient `parse_all`.
+            column.push(match domains.map(|domains| domains[j]) {
+                Some(domain) if !keeps_raw_cells(domain) => {
+                    domain.parse(field).unwrap_or(Cell::Null)
+                }
+                _ => raw_cell(field),
+            });
+        }
+    })?;
+    cells.resize_with(keep.map_or(n_cols, <[usize]>::len), Vec::new);
+    let columns = cells
+        .into_iter()
+        .enumerate()
+        .map(|(j, cells)| {
+            let mut column = Column::new(cells);
+            if let Some(domains) = domains {
+                settle_domain(&mut column, domains[j]);
+            }
+            column
+        })
+        .collect();
+    Ok((columns, n_cols, rows))
 }
 
 /// Read a CSV document from any reader into an untyped (raw `Σ*`) dataframe (or a
@@ -219,30 +274,49 @@ pub fn read_csv_reader<R: Read>(mut reader: R, options: &CsvOptions) -> DfResult
     read_csv_str(&content, options)
 }
 
-/// Read a CSV document from a string.
+/// Read a CSV document from a string. With [`CsvOptions::infer_schema`] the columns
+/// are induced in one pass over the field slices and typed in a second, which is
+/// cell-for-cell and slot-for-slot what reading raw and calling `parse_all` gives.
 pub fn read_csv_str(content: &str, options: &CsvOptions) -> DfResult<DataFrame> {
-    let mut records = Records::new(content);
-    let mut header: Option<Vec<String>> = None;
-    if options.has_header {
-        match records.next() {
-            Some(record) => header = Some(split_record(record, options.delimiter)),
-            None => return Ok(DataFrame::empty()),
-        }
-    }
+    let delimiter = options.delimiter;
+    let (header, body) = match (options.has_header, next_record(content)) {
+        (false, _) => (None, content),
+        (true, Some((record, _, body))) => (Some(split_owned(record, delimiter)), body),
+        (true, None) => return Ok(DataFrame::empty()),
+    };
     let n_cols_hint = header.as_ref().map(Vec::len);
+    let mut domains = None;
+    if options.infer_schema {
+        // One induction scan per column, folded straight from the field slices.
+        let mut summaries: Vec<InductionSummary> = Vec::new();
+        let (n_cols, _) = for_each_record(body, delimiter, n_cols_hint, 0, |fields| {
+            summaries.resize_with(fields.len(), InductionSummary::begin_scan);
+            for (summary, field) in summaries.iter_mut().zip(fields) {
+                summary.push(field);
+            }
+        })?;
+        summaries.resize_with(n_cols, InductionSummary::begin_scan);
+        domains = Some(
+            summaries
+                .iter()
+                .map(InductionSummary::finish)
+                .collect::<Vec<_>>(),
+        );
+    }
     let (columns, n_cols, row_count) =
-        parse_data_records(records, options.delimiter, n_cols_hint, 0)?;
+        parse_columns(body, delimiter, n_cols_hint, 0, None, domains.as_deref())?;
     let labels: Vec<Cell> = match header {
         Some(names) => names.into_iter().map(Cell::Str).collect(),
         None => (0..n_cols).map(|i| Cell::Int(i as i64)).collect(),
     };
-    let columns: Vec<Column> = columns.into_iter().map(Column::new).collect();
-    let mut df =
-        DataFrame::from_parts(columns, Labels::positional(row_count), Labels::new(labels))?;
-    if options.infer_schema {
-        df.parse_all();
-    }
-    Ok(df)
+    DataFrame::from_parts(columns, Labels::positional(row_count), Labels::new(labels))
+}
+
+/// Split one record into owned fields (the header record).
+fn split_owned(record: &str, delimiter: char) -> Vec<String> {
+    let mut fields = Vec::new();
+    split_fields(record, delimiter, true, &mut fields);
+    fields.into_iter().map(Cow::into_owned).collect()
 }
 
 /// Read a CSV file from disk.
@@ -316,118 +390,73 @@ pub fn plan_csv_chunks(
     options: &CsvOptions,
     rows_per_chunk: usize,
 ) -> DfResult<CsvIngestPlan> {
+    use std::io::BufRead;
+    let path = path.as_ref();
     let rows_per_chunk = rows_per_chunk.max(1);
-    let file = std::fs::File::open(path)?;
-    let mut reader = std::io::BufReader::with_capacity(64 * 1024, file);
-
-    let mut pos: u64 = 0;
-    let mut in_quotes = false;
-    let mut record_len: usize = 0;
-    let mut last_byte: u8 = 0;
-
-    let mut awaiting_header = options.has_header;
-    let mut header_raw: Option<String> = None;
-    let mut first_data_raw: Option<String> = None;
-    // Raw bytes of the record currently being scanned, kept only while the header
-    // (or, for headerless files, the first data record) is still being sought.
-    let mut capture: Vec<u8> = Vec::new();
-    let mut capturing = true;
-
+    let mut reader = std::io::BufReader::with_capacity(64 * 1024, std::fs::File::open(path)?);
+    // `(start, len)` of the header record and of the first data record (CRLF
+    // terminator excluded), read back and split once the scan is done.
+    let mut header: Option<(u64, u64)> = None;
+    let mut first_data: Option<(u64, u64)> = None;
     let mut chunk_start: u64 = 0;
     let mut chunk_rows = 0usize;
     let mut total_rows = 0usize;
     let mut chunks: Vec<CsvChunk> = Vec::new();
-
-    // Called at every record boundary with the record's effective byte length (CRLF
-    // terminator stripped) and the byte offset just past its terminator.
-    let mut finish_record = |effective_len: usize,
-                             end: u64,
-                             capture: &mut Vec<u8>,
-                             capturing: &mut bool|
-     -> DfResult<()> {
-        let raw = if *capturing {
-            let text = std::str::from_utf8(&capture[..effective_len])
-                .map_err(|_| DfError::Io("CSV file is not valid UTF-8".to_string()))?
-                .to_string();
-            capture.clear();
-            Some(text)
-        } else {
-            None
-        };
-        if awaiting_header {
-            header_raw = Some(raw.ok_or_else(|| {
-                DfError::internal("CSV planner stopped capturing before the header record")
-            })?);
-            awaiting_header = false;
+    // Called at every record boundary with the record's start and effective length
+    // and the byte offset just past its terminator.
+    let mut finish_record = |start: u64, len: u64, end: u64| {
+        if options.has_header && header.is_none() {
+            header = Some((start, len));
             // Data (and the first chunk) start after the header record.
             chunk_start = end;
-            *capturing = false;
-            return Ok(());
-        }
-        if effective_len == 0 {
-            // Blank record: skipped by the parser, never counted as a data row.
-            return Ok(());
-        }
-        if first_data_raw.is_none() {
-            if let Some(text) = raw {
-                first_data_raw = Some(text);
+        } else if len > 0 {
+            // Blank records are skipped by the parser, never counted as data rows.
+            first_data.get_or_insert((start, len));
+            total_rows += 1;
+            chunk_rows += 1;
+            if chunk_rows == rows_per_chunk {
+                chunks.push(CsvChunk {
+                    start_byte: chunk_start,
+                    end_byte: end,
+                    rows: chunk_rows,
+                    start_row: total_rows - chunk_rows,
+                });
+                chunk_start = end;
+                chunk_rows = 0;
             }
-            *capturing = false;
         }
-        total_rows += 1;
-        chunk_rows += 1;
-        if chunk_rows == rows_per_chunk {
-            chunks.push(CsvChunk {
-                start_byte: chunk_start,
-                end_byte: end,
-                rows: chunk_rows,
-                start_row: total_rows - chunk_rows,
-            });
-            chunk_start = end;
-            chunk_rows = 0;
-        }
-        Ok(())
     };
 
+    let mut pos: u64 = 0;
+    let mut record_start: u64 = 0;
+    let mut in_quotes = false;
+    let mut last_byte: u8 = 0;
     loop {
-        use std::io::BufRead;
         let consumed = {
             let buffer = reader.fill_buf()?;
-            if buffer.is_empty() {
-                break;
-            }
             for &byte in buffer {
-                pos += 1;
                 match byte {
-                    b'"' => {
-                        in_quotes = !in_quotes;
-                        record_len += 1;
-                        if capturing {
-                            capture.push(byte);
-                        }
-                    }
+                    b'"' => in_quotes = !in_quotes,
                     b'\n' if !in_quotes => {
-                        let effective_len =
-                            record_len - usize::from(record_len > 0 && last_byte == b'\r');
-                        finish_record(effective_len, pos, &mut capture, &mut capturing)?;
-                        record_len = 0;
+                        let cr = u64::from(pos > record_start && last_byte == b'\r');
+                        finish_record(record_start, pos - record_start - cr, pos + 1);
+                        record_start = pos + 1;
                     }
-                    _ => {
-                        record_len += 1;
-                        if capturing {
-                            capture.push(byte);
-                        }
-                    }
+                    _ => {}
                 }
                 last_byte = byte;
+                pos += 1;
             }
             buffer.len()
         };
+        if consumed == 0 {
+            break;
+        }
         reader.consume(consumed);
     }
-    if record_len > 0 {
+    if pos > record_start {
         // Final record without a trailing newline: its `\r`, if any, is data.
-        finish_record(record_len, pos, &mut capture, &mut capturing)?;
+        finish_record(record_start, pos - record_start, pos);
     }
     if chunk_rows > 0 {
         chunks.push(CsvChunk {
@@ -438,10 +467,16 @@ pub fn plan_csv_chunks(
         });
     }
 
-    let header = header_raw.map(|raw| split_record(&raw, options.delimiter));
-    let n_cols = match (&header, &first_data_raw) {
+    let split_at = |(start, len): (u64, u64)| -> DfResult<Vec<String>> {
+        Ok(split_owned(
+            &read_text(path, start, len)?,
+            options.delimiter,
+        ))
+    };
+    let header = header.map(split_at).transpose()?;
+    let n_cols = match (&header, first_data) {
         (Some(fields), _) => fields.len(),
-        (None, Some(raw)) => split_record(raw, options.delimiter).len(),
+        (None, Some(record)) => split_at(record)?.len(),
         (None, None) => 0,
     };
     Ok(CsvIngestPlan {
@@ -453,155 +488,111 @@ pub fn plan_csv_chunks(
     })
 }
 
-/// Parse one planned chunk into a raw (`Σ*`) full-width band. The worker seeks to the
-/// chunk's byte range and touches nothing else; row labels are the global positional
-/// ranks the serial reader would have assigned. Schema induction never runs here —
-/// typed ingest reconciles domains across bands afterwards (see [`apply_domains`]).
+/// Read `len` bytes of a file from offset `start`, as text.
+fn read_text(path: &Path, start: u64, len: u64) -> DfResult<String> {
+    let mut file = std::fs::File::open(path)?;
+    file.seek(SeekFrom::Start(start))?;
+    let mut bytes = vec![0u8; len as usize];
+    file.read_exact(&mut bytes)?;
+    String::from_utf8(bytes).map_err(|_| DfError::Io("CSV file is not valid UTF-8".to_string()))
+}
+
+/// A chunk must hold the rows the plan counted, or the file changed underneath.
+fn check_chunk_rows(chunk: &CsvChunk, rows: usize) -> DfResult<()> {
+    if rows == chunk.rows {
+        return Ok(());
+    }
+    Err(DfError::internal(format!(
+        "CSV chunk at byte {} parsed {rows} rows but the plan counted {} — \
+         the file changed between planning and parsing",
+        chunk.start_byte, chunk.rows
+    )))
+}
+
+/// Parse one planned chunk into a band. The worker seeks to the chunk's byte range
+/// and touches nothing else; row labels are the global positional ranks the serial
+/// reader would have assigned.
+///
+/// * `keep` — source column positions to materialise, in output order (`None`: every
+///   column, in file order). This is the storage half of *projection pushdown*: every
+///   record is still split and arity-checked, so ragged rows fail with the same error
+///   as an unprojected read, but cells are allocated only for kept columns. The
+///   positions must be unique and in range.
+/// * `domains` — the reconciled domain of each output column. Each field is then
+///   typed straight from its text and the column's schema slot is left as
+///   [`apply_domains`] (and the serial `parse_all`) leave it; `None` keeps the raw
+///   (`Σ*`) cells.
 pub fn read_csv_chunk(
     path: impl AsRef<Path>,
     options: &CsvOptions,
     plan: &CsvIngestPlan,
     chunk: &CsvChunk,
+    keep: Option<&[usize]>,
+    domains: Option<&[Domain]>,
 ) -> DfResult<DataFrame> {
-    let mut file = std::fs::File::open(path)?;
-    file.seek(SeekFrom::Start(chunk.start_byte))?;
-    let len = (chunk.end_byte - chunk.start_byte) as usize;
-    let mut bytes = vec![0u8; len];
-    file.read_exact(&mut bytes)?;
-    let content = String::from_utf8(bytes)
-        .map_err(|_| DfError::Io("CSV file is not valid UTF-8".to_string()))?;
-    let (columns, _, rows) = parse_data_records(
-        Records::new(&content),
+    let all_labels = plan.col_labels();
+    let col_labels = match keep {
+        Some(keep) if keep.iter().enumerate().any(|(i, k)| keep[..i].contains(k)) => {
+            return Err(DfError::internal(
+                "projected chunk read requires unique column positions",
+            ))
+        }
+        Some(keep) => all_labels.select(keep)?,
+        None => all_labels,
+    };
+    if let Some(domains) = domains {
+        if domains.len() != col_labels.len() {
+            return Err(DfError::shape(
+                format!("{} domains", col_labels.len()),
+                format!("{} provided", domains.len()),
+            ));
+        }
+    }
+    let content = read_text(
+        path.as_ref(),
+        chunk.start_byte,
+        chunk.end_byte - chunk.start_byte,
+    )?;
+    let (columns, _, rows) = parse_columns(
+        &content,
         options.delimiter,
         Some(plan.n_cols),
         chunk.start_row,
+        keep,
+        domains,
     )?;
-    if rows != chunk.rows {
-        return Err(DfError::internal(format!(
-            "CSV chunk at byte {} parsed {rows} rows but the plan counted {} — \
-             the file changed between planning and parsing",
-            chunk.start_byte, chunk.rows
-        )));
-    }
+    check_chunk_rows(chunk, rows)?;
     let row_labels = Labels::new(
         (chunk.start_row..chunk.start_row + rows)
             .map(|i| Cell::Int(i as i64))
             .collect(),
     );
-    let columns: Vec<Column> = columns.into_iter().map(Column::new).collect();
-    DataFrame::from_parts(columns, row_labels, plan.col_labels())
+    DataFrame::from_parts(columns, row_labels, col_labels)
 }
 
-/// Parse one planned chunk, materialising only the columns named in `keep` (source
-/// positions in the file's column order; the output carries them in `keep` order).
-/// This is the storage half of *projection pushdown*: every record is still split and
-/// arity-checked — so ragged rows fail with the same error as the unprojected reader
-/// — but cells are allocated only for the kept columns. Row labels are the global
-/// positional ranks, identical to [`read_csv_chunk`]'s.
-///
-/// `keep` must be unique and in range; the optimizer builds it by resolving the
-/// pushed projection (plus any predicate columns) against the plan's labels.
-pub fn read_csv_chunk_cols(
+/// Visit every data record of one planned chunk as borrowed field slices, with the
+/// same arity checks and row numbering as [`read_csv_chunk`] — but no cell is built.
+/// The scan's statistics pass folds each field into its per-column summaries here.
+pub fn for_each_chunk_record(
     path: impl AsRef<Path>,
     options: &CsvOptions,
     plan: &CsvIngestPlan,
     chunk: &CsvChunk,
-    keep: &[usize],
-) -> DfResult<DataFrame> {
-    for &k in keep {
-        if k >= plan.n_cols {
-            return Err(DfError::IndexOutOfBounds {
-                axis: "column",
-                index: k,
-                len: plan.n_cols,
-            });
-        }
-    }
-    {
-        let mut sorted: Vec<usize> = keep.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        if sorted.len() != keep.len() {
-            return Err(DfError::internal(
-                "projected chunk read requires unique column positions",
-            ));
-        }
-    }
-    let mut file = std::fs::File::open(path)?;
-    file.seek(SeekFrom::Start(chunk.start_byte))?;
-    let len = (chunk.end_byte - chunk.start_byte) as usize;
-    let mut bytes = vec![0u8; len];
-    file.read_exact(&mut bytes)?;
-    let content = String::from_utf8(bytes)
-        .map_err(|_| DfError::Io("CSV file is not valid UTF-8".to_string()))?;
-
-    let mut columns: Vec<Vec<Cell>> = vec![Vec::new(); keep.len()];
-    let mut row_count = 0usize;
-    for record in Records::new(&content) {
-        if record.is_empty() {
-            continue;
-        }
-        let fields = split_record(record, options.delimiter);
-        if fields.len() != plan.n_cols {
-            return Err(DfError::shape(
-                format!("{} fields per record", plan.n_cols),
-                format!(
-                    "{} fields at data row {}",
-                    fields.len(),
-                    chunk.start_row + row_count
-                ),
-            ));
-        }
-        let mut fields: Vec<Option<String>> = fields.into_iter().map(Some).collect();
-        for (slot, &k) in columns.iter_mut().zip(keep) {
-            let field = fields[k].take().unwrap_or_default();
-            if df_types::domain::is_null_token(&field) {
-                slot.push(Cell::Null);
-            } else {
-                slot.push(Cell::Str(field));
-            }
-        }
-        row_count += 1;
-    }
-    if row_count != chunk.rows {
-        return Err(DfError::internal(format!(
-            "CSV chunk at byte {} parsed {row_count} rows but the plan counted {} — \
-             the file changed between planning and parsing",
-            chunk.start_byte, chunk.rows
-        )));
-    }
-    let row_labels = Labels::new(
-        (chunk.start_row..chunk.start_row + row_count)
-            .map(|i| Cell::Int(i as i64))
-            .collect(),
-    );
-    let all_labels = plan.col_labels();
-    let col_labels = Labels::new(
-        keep.iter()
-            .map(|&k| all_labels.as_slice()[k].clone())
-            .collect(),
-    );
-    let columns: Vec<Column> = columns.into_iter().map(Column::new).collect();
-    DataFrame::from_parts(columns, row_labels, col_labels)
-}
-
-/// Summarise one parsed band's columns as per-chunk scan statistics (null counts,
-/// numeric and lexical min/max, capped distinct counts) — the filter half of the
-/// block–filter–verify pruning the scan leaf performs. Runs over the raw (pre-cast)
-/// cells, which is exactly the state [`df_core::scan::chunk_may_match`]'s soundness
-/// argument assumes.
-pub fn chunk_column_stats(band: &DataFrame) -> Vec<df_core::scan::ColumnChunkStats> {
-    band.columns()
-        .iter()
-        .map(|column| {
-            let mut stats = df_core::scan::ColumnChunkStats::default();
-            let mut seen = Vec::new();
-            for cell in column.cells() {
-                stats.observe(cell, &mut seen);
-            }
-            stats
-        })
-        .collect()
+    visit: impl FnMut(&[Cow<'_, str>]),
+) -> DfResult<()> {
+    let content = read_text(
+        path.as_ref(),
+        chunk.start_byte,
+        chunk.end_byte - chunk.start_byte,
+    )?;
+    let (_, rows) = for_each_record(
+        &content,
+        options.delimiter,
+        Some(plan.n_cols),
+        chunk.start_row,
+        visit,
+    )?;
+    check_chunk_rows(chunk, rows)
 }
 
 /// Summarise one raw band's columns for schema reconciliation: the per-band half of
@@ -629,7 +620,7 @@ pub fn reconcile_domains(band_summaries: &[Vec<InductionSummary>]) -> Vec<Domain
     merged.iter().map(InductionSummary::finish).collect()
 }
 
-/// Re-cast one band with the reconciled per-column domains, mirroring the serial
+/// Re-cast one raw band with the reconciled per-column domains, mirroring the serial
 /// reader's `parse_in_place` exactly: a `Str`/`Composite` column keeps its raw cells
 /// and merely *caches* the induced domain (so a later mutation invalidates it, like
 /// serial); any other domain parses every raw string cell with `p_i` (unparseable
@@ -646,16 +637,14 @@ pub fn apply_domains(band: DataFrame, domains: &[Domain]) -> DfResult<DataFrame>
         ));
     }
     for (column, &domain) in columns.iter_mut().zip(domains) {
-        if matches!(domain, Domain::Str | Domain::Composite) {
-            column.note_induced_domain(domain);
-            continue;
-        }
-        for cell in column.cells_mut().iter_mut() {
-            if let Cell::Str(s) = cell {
-                *cell = domain.parse(s).unwrap_or(Cell::Null);
+        if !keeps_raw_cells(domain) {
+            for cell in column.cells_mut().iter_mut() {
+                if let Cell::Str(s) = cell {
+                    *cell = domain.parse(s).unwrap_or(Cell::Null);
+                }
             }
         }
-        column.declare_domain(domain);
+        settle_domain(column, domain);
     }
     DataFrame::from_parts(columns, row_labels, col_labels)
 }
@@ -750,7 +739,7 @@ mod tests {
         let mut bands: Vec<DataFrame> = plan
             .chunks
             .iter()
-            .map(|chunk| read_csv_chunk(&path, options, &plan, chunk).unwrap())
+            .map(|chunk| read_csv_chunk(&path, options, &plan, chunk, None, None).unwrap())
             .collect();
         if options.infer_schema {
             let summaries: Vec<Vec<InductionSummary>> =
@@ -888,8 +877,15 @@ mod tests {
         let serial_err = read_csv_str(ragged_later, &CsvOptions::default()).unwrap_err();
         let path = temp_csv("ragged.csv", ragged_later);
         let plan = plan_csv_chunks(&path, &CsvOptions::default(), 1).unwrap();
-        let chunk_err =
-            read_csv_chunk(&path, &CsvOptions::default(), &plan, &plan.chunks[2]).unwrap_err();
+        let chunk_err = read_csv_chunk(
+            &path,
+            &CsvOptions::default(),
+            &plan,
+            &plan.chunks[2],
+            None,
+            None,
+        )
+        .unwrap_err();
         assert_eq!(format!("{serial_err}"), format!("{chunk_err}"));
         std::fs::remove_file(path).ok();
     }
@@ -976,9 +972,10 @@ mod tests {
         let options = CsvOptions::default();
         let plan = plan_csv_chunks(&path, &options, 2).unwrap();
         for chunk in &plan.chunks {
-            let full = read_csv_chunk(&path, &options, &plan, chunk).unwrap();
+            let full = read_csv_chunk(&path, &options, &plan, chunk, None, None).unwrap();
             // Subset in reversed order: labels, cells and row labels all follow.
-            let projected = read_csv_chunk_cols(&path, &options, &plan, chunk, &[2, 0]).unwrap();
+            let projected =
+                read_csv_chunk(&path, &options, &plan, chunk, Some(&[2, 0]), None).unwrap();
             assert_eq!(projected.n_rows(), full.n_rows());
             assert_eq!(
                 projected.col_labels().as_slice(),
@@ -992,11 +989,16 @@ mod tests {
             }
         }
         // Null tokens convert identically on the projected path.
-        let all = read_csv_chunk_cols(&path, &options, &plan, &plan.chunks[1], &[1]).unwrap();
+        let all =
+            read_csv_chunk(&path, &options, &plan, &plan.chunks[1], Some(&[1]), None).unwrap();
         assert_eq!(all.cell(all.n_rows() - 1, 0).unwrap(), &Cell::Null);
         // Guard rails: out-of-range and duplicate positions are rejected.
-        assert!(read_csv_chunk_cols(&path, &options, &plan, &plan.chunks[0], &[9]).is_err());
-        assert!(read_csv_chunk_cols(&path, &options, &plan, &plan.chunks[0], &[0, 0]).is_err());
+        let first = &plan.chunks[0];
+        assert!(read_csv_chunk(&path, &options, &plan, first, Some(&[9]), None).is_err());
+        assert!(read_csv_chunk(&path, &options, &plan, first, Some(&[0, 0]), None).is_err());
+        // One domain per output column, or the read is refused.
+        let one_domain = [Domain::Int];
+        assert!(read_csv_chunk(&path, &options, &plan, first, None, Some(&one_domain)).is_err());
         std::fs::remove_file(path).ok();
     }
 
@@ -1006,16 +1008,29 @@ mod tests {
         let path = temp_csv("ragged-projected.csv", ragged);
         let options = CsvOptions::default();
         let plan = plan_csv_chunks(&path, &options, 10).unwrap();
-        let err = read_csv_chunk_cols(&path, &options, &plan, &plan.chunks[0], &[0]).unwrap_err();
+        let err =
+            read_csv_chunk(&path, &options, &plan, &plan.chunks[0], Some(&[0]), None).unwrap_err();
         assert!(format!("{err}").contains("data row 1"), "{err}");
         std::fs::remove_file(path).ok();
     }
 
     #[test]
-    fn chunk_column_stats_summarise_raw_bands() {
-        let band = read_csv_str("a,b\n5,x\n12,na\n5,y\n", &CsvOptions::default()).unwrap();
-        let stats = chunk_column_stats(&band);
-        assert_eq!(stats.len(), 2);
+    fn chunk_records_fold_into_the_stats_of_their_raw_cells() {
+        use df_core::scan::ColumnChunkStats;
+        use std::collections::HashSet;
+        let content = "a,b\n5,x\n12,na\n5,\"y\"\n";
+        let path = temp_csv("stats.csv", content);
+        let options = CsvOptions::default();
+        let plan = plan_csv_chunks(&path, &options, 10).unwrap();
+        let chunk = &plan.chunks[0];
+        let mut stats = vec![ColumnChunkStats::default(); 2];
+        let mut seen = vec![HashSet::new(); 2];
+        for_each_chunk_record(&path, &options, &plan, chunk, |fields| {
+            for (j, field) in fields.iter().enumerate() {
+                stats[j].observe_raw(field, &mut seen[j]);
+            }
+        })
+        .unwrap();
         assert_eq!(stats[0].numeric, Some((5.0, 12.0)));
         assert_eq!(stats[0].numeric_count, 3);
         assert_eq!(stats[0].nulls, 0);
@@ -1023,6 +1038,98 @@ mod tests {
         assert_eq!(stats[1].nulls, 1);
         assert_eq!(stats[1].numeric, None);
         assert_eq!(stats[1].lexical, Some(("x".to_string(), "y".to_string())));
+        // The same summaries as folding the raw band's cells.
+        let band = read_csv_chunk(&path, &options, &plan, chunk, None, None).unwrap();
+        for (column, expected) in band.columns().iter().zip(&stats) {
+            let mut from_cells = ColumnChunkStats::default();
+            let mut seen = Vec::new();
+            for cell in column.cells() {
+                from_cells.observe(cell, &mut seen);
+            }
+            assert_eq!(&from_cells, expected);
+        }
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn typed_chunk_read_equals_raw_read_plus_apply_domains() {
+        let content = "n,s,f,k\n1, x ,2.5,a\nNaN,y,3,b\n3,,n/a,a\n";
+        let path = temp_csv("typed.csv", content);
+        let options = CsvOptions::default();
+        let plan = plan_csv_chunks(&path, &options, 2).unwrap();
+        let domains = [Domain::Int, Domain::Str, Domain::Float, Domain::Category];
+        for chunk in &plan.chunks {
+            let raw = read_csv_chunk(&path, &options, &plan, chunk, None, None).unwrap();
+            let recast = apply_domains(raw, &domains).unwrap();
+            let typed =
+                read_csv_chunk(&path, &options, &plan, chunk, None, Some(&domains)).unwrap();
+            assert!(typed.same_data(&recast), "{typed}\n{recast}");
+            assert_eq!(typed.schema(), recast.schema());
+            // Projected and typed at once: the domains follow `keep`'s order.
+            let keep = [2, 1];
+            let picked = [domains[2], domains[1]];
+            let projected =
+                read_csv_chunk(&path, &options, &plan, chunk, Some(&keep), Some(&picked)).unwrap();
+            for i in 0..typed.n_rows() {
+                assert_eq!(projected.cell(i, 0).unwrap(), typed.cell(i, 2).unwrap());
+                assert_eq!(projected.cell(i, 1).unwrap(), typed.cell(i, 1).unwrap());
+            }
+            assert_eq!(
+                projected.schema(),
+                vec![Some(Domain::Float), Some(Domain::Str)]
+            );
+        }
+        // Str cells stay raw (untrimmed), parsed domains trim and null their spellings.
+        let typed = read_csv_chunk(
+            &path,
+            &options,
+            &plan,
+            &plan.chunks[0],
+            None,
+            Some(&domains),
+        )
+        .unwrap();
+        assert_eq!(typed.cell(0, 1).unwrap(), &cell(" x "));
+        assert_eq!(typed.cell(1, 0).unwrap(), &Cell::Null);
+        assert_eq!(typed.cell(1, 2).unwrap(), &cell(3.0));
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn splitter_borrows_quote_free_records_and_unescapes_quoted_ones() {
+        let split = |record: &str, delimiter: char| {
+            let mut fields = Vec::new();
+            split_fields(record, delimiter, record.contains('"'), &mut fields);
+            fields
+                .into_iter()
+                .map(|f| (matches!(f, Cow::Borrowed(_)), f.into_owned()))
+                .collect::<Vec<_>>()
+        };
+        let borrowed = |fields: &[&str]| {
+            fields
+                .iter()
+                .map(|f| (true, f.to_string()))
+                .collect::<Vec<_>>()
+        };
+        let copied = |fields: &[&str]| {
+            fields
+                .iter()
+                .map(|f| (false, f.to_string()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(split("a,,b", ','), borrowed(&["a", "", "b"]));
+        assert_eq!(split("", ','), borrowed(&[""]));
+        assert_eq!(split("1,", ','), borrowed(&["1", ""]));
+        assert_eq!(split("é§ü§", '§'), borrowed(&["é", "ü", ""]));
+        assert_eq!(split("\"a,b\",c", ','), copied(&["a,b", "c"]));
+        assert_eq!(
+            split("\"say \"\"hi\"\"\",z", ','),
+            copied(&["say \"hi\"", "z"])
+        );
+        assert_eq!(split("a\"b,c\"d,e", ','), copied(&["ab,cd", "e"]));
+        assert_eq!(split("a\"\"b", ','), copied(&["ab"]));
+        assert_eq!(split("\"unterminated,x", ','), copied(&["unterminated,x"]));
+        assert_eq!(split("\"q§r\"§s", '§'), copied(&["q§r", "s"]));
     }
 
     #[test]

@@ -95,11 +95,18 @@ impl Domain {
         }
         match self {
             Domain::Str | Domain::Category => Ok(Cell::Str(trimmed.to_string())),
-            Domain::Bool => match trimmed.to_ascii_lowercase().as_str() {
-                "true" | "t" | "yes" | "y" | "1" => Ok(Cell::Bool(true)),
-                "false" | "f" | "no" | "n" | "0" => Ok(Cell::Bool(false)),
-                _ => Err(parse_err(self, raw)),
-            },
+            Domain::Bool => {
+                let is = |spellings: [&str; 5]| {
+                    spellings.iter().any(|s| trimmed.eq_ignore_ascii_case(s))
+                };
+                if is(["true", "t", "yes", "y", "1"]) {
+                    Ok(Cell::Bool(true))
+                } else if is(["false", "f", "no", "n", "0"]) {
+                    Ok(Cell::Bool(false))
+                } else {
+                    Err(parse_err(self, raw))
+                }
+            }
             Domain::Int => trimmed
                 .parse::<i64>()
                 .map(Cell::Int)
@@ -199,11 +206,12 @@ fn parse_err(domain: &Domain, value: &str) -> DfError {
 }
 
 /// The spellings of the distinguished null value accepted by every parsing function.
+/// Case-insensitive and padding-tolerant; allocates nothing (it runs once per ingested
+/// cell).
 pub fn is_null_token(raw: &str) -> bool {
-    matches!(
-        raw.trim().to_ascii_lowercase().as_str(),
-        "" | "na" | "n/a" | "nan" | "null" | "none"
-    )
+    const TOKENS: [&str; 5] = ["na", "n/a", "nan", "null", "none"];
+    let trimmed = raw.trim();
+    trimmed.is_empty() || TOKENS.iter().any(|t| trimmed.eq_ignore_ascii_case(t))
 }
 
 /// Parse an ISO-8601-like date or datetime (`YYYY-MM-DD` or `YYYY-MM-DD HH:MM:SS`,
@@ -313,6 +321,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn null_tokens_ignore_case_and_padding_but_not_lookalikes() {
+        for token in [" NaN ", "NULL", "N/a", "None", "nA", "\tnull\t", "  "] {
+            assert!(is_null_token(token), "{token:?} is a null spelling");
+        }
+        for token in ["nana", "n/aa", "-", "nul", "none!", "n a", "0"] {
+            assert!(!is_null_token(token), "{token:?} is not a null spelling");
+        }
+        assert_eq!(Domain::Bool.parse(" TRUE ").unwrap(), cell(true));
+        assert_eq!(Domain::Bool.parse("No").unwrap(), cell(false));
+        assert!(Domain::Bool.parse("tru").is_err());
     }
 
     #[test]

@@ -121,7 +121,7 @@ fn narrowest_domain_of_str(trimmed: &str) -> Domain {
     // Only the canonical spellings induce booleans. "Yes"/"No" style columns stay in
     // the string domains (pandas keeps them as Object too); Domain::Bool.parse still
     // accepts them when the user explicitly casts.
-    if matches!(trimmed.to_ascii_lowercase().as_str(), "true" | "false") {
+    if trimmed.eq_ignore_ascii_case("true") || trimmed.eq_ignore_ascii_case("false") {
         return Domain::Bool;
     }
     if trimmed.parse::<i64>().is_ok() {
@@ -140,16 +140,11 @@ fn narrowest_domain_of_str(trimmed: &str) -> Domain {
 /// per domain in [`Domain::ALL`].
 const STATE_COUNT: usize = 1 + Domain::ALL.len();
 
+/// Fold state of a domain: 0 is "no candidate yet", `1 + d` is `Domain::ALL[d]`
+/// (`Domain::ALL` lists the variants in declaration order, so the discriminant is the
+/// index — a unit test pins this).
 fn encode_state(domain: Option<Domain>) -> u8 {
-    match domain {
-        None => 0,
-        Some(domain) => {
-            1 + Domain::ALL
-                .iter()
-                .position(|d| *d == domain)
-                .expect("Domain::ALL is exhaustive") as u8
-        }
-    }
+    domain.map_or(0, |d| 1 + d as u8)
 }
 
 fn decode_state(state: u8) -> Option<Domain> {
@@ -209,30 +204,44 @@ impl InductionSummary {
         }
     }
 
-    /// Summarise one band of raw strings (the per-band half of `S`). Counts as one
-    /// induction scan, like the serial [`induce_from_strings`] it stands in for.
+    /// Start summarising one band: an empty summary that counts as one induction
+    /// scan, like the serial [`induce_from_strings`] it stands in for. Values are then
+    /// folded in one at a time with [`InductionSummary::push`].
+    pub fn begin_scan() -> Self {
+        INDUCTION_SCANS.fetch_add(1, Ordering::Relaxed);
+        InductionSummary::empty()
+    }
+
+    /// Fold one raw value (the next one of the band, in column order) into the
+    /// summary. Null spellings are skipped; nothing is allocated unless the value is
+    /// new to the capped distinct set.
+    pub fn push(&mut self, raw: &str) {
+        let trimmed = raw.trim();
+        if is_null_token(trimmed) {
+            return;
+        }
+        self.non_null += 1;
+        if self.distinct.len() < CATEGORY_DISTINCT_CAP && !self.distinct.contains(trimmed) {
+            self.distinct.insert(trimmed.to_string());
+        }
+        let this = narrowest_domain_of_str(trimmed);
+        for state in self.transition.iter_mut() {
+            *state = encode_state(Some(match decode_state(*state) {
+                None => this,
+                Some(prev) => prev.unify(this),
+            }));
+        }
+    }
+
+    /// Summarise one band of raw strings (the per-band half of `S`): one
+    /// [`InductionSummary::begin_scan`] plus a [`InductionSummary::push`] per value.
     pub fn of_strings<'a, I>(values: I) -> Self
     where
         I: IntoIterator<Item = &'a str>,
     {
-        INDUCTION_SCANS.fetch_add(1, Ordering::Relaxed);
-        let mut summary = InductionSummary::empty();
+        let mut summary = InductionSummary::begin_scan();
         for raw in values {
-            let trimmed = raw.trim();
-            if is_null_token(trimmed) {
-                continue;
-            }
-            summary.non_null += 1;
-            if summary.distinct.len() < CATEGORY_DISTINCT_CAP {
-                summary.distinct.insert(trimmed.to_string());
-            }
-            let this = narrowest_domain_of_str(trimmed);
-            for state in summary.transition.iter_mut() {
-                *state = encode_state(Some(match decode_state(*state) {
-                    None => this,
-                    Some(prev) => prev.unify(this),
-                }));
-            }
+            summary.push(raw);
         }
         summary
     }
@@ -360,9 +369,20 @@ impl SchemaSlot {
 mod tests {
     use super::*;
     use crate::cell::cell;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// The induction-scan counter is process-wide and tests run on parallel threads:
+    /// every test that runs a counted scan holds this lock, so the counter test sees
+    /// only its own scans.
+    static COUNTED_SCANS: Mutex<()> = Mutex::new(());
+
+    fn counted_scans() -> MutexGuard<'static, ()> {
+        COUNTED_SCANS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn induces_int_float_bool_columns() {
+        let _scans = counted_scans();
         assert_eq!(induce_from_strings(["1", "2", "3"]), Domain::Int);
         assert_eq!(induce_from_strings(["1", "2.5"]), Domain::Float);
         assert_eq!(induce_from_strings(["true", "false", "true"]), Domain::Bool);
@@ -374,18 +394,21 @@ mod tests {
 
     #[test]
     fn nulls_are_ignored_and_all_null_defaults_to_str() {
+        let _scans = counted_scans();
         assert_eq!(induce_from_strings(["", "NA", "3"]), Domain::Int);
         assert_eq!(induce_from_strings(["", "NA", "null"]), Domain::Str);
     }
 
     #[test]
     fn mixed_numeric_and_text_widen_to_str() {
+        let _scans = counted_scans();
         assert_eq!(induce_from_strings(["1", "abc"]), Domain::Str);
         assert_eq!(induce_from_strings(["2.5", "2020-01-01"]), Domain::Str);
     }
 
     #[test]
     fn repeated_small_vocabulary_becomes_category() {
+        let _scans = counted_scans();
         let values: Vec<String> = (0..40)
             .map(|i| if i % 2 == 0 { "SUV" } else { "sedan" }.to_string())
             .collect();
@@ -395,6 +418,7 @@ mod tests {
 
     #[test]
     fn large_vocabulary_stays_str() {
+        let _scans = counted_scans();
         let values: Vec<String> = (0..200).map(|i| format!("value-{i}")).collect();
         let refs: Vec<&str> = values.iter().map(String::as_str).collect();
         assert_eq!(induce_from_strings(refs), Domain::Str);
@@ -402,6 +426,7 @@ mod tests {
 
     #[test]
     fn induce_domain_over_cells_widens() {
+        let _scans = counted_scans();
         assert_eq!(induce_domain(&[cell(1), cell(2.5)]), Domain::Float);
         assert_eq!(induce_domain(&[cell(true), cell(false)]), Domain::Bool);
         assert_eq!(induce_domain(&[Cell::Null, Cell::Null]), Domain::Str);
@@ -439,6 +464,7 @@ mod tests {
 
     #[test]
     fn induction_counter_increments() {
+        let _scans = counted_scans();
         reset_induction_scan_count();
         let before = induction_scan_count();
         induce_from_strings(["1", "2"]);
@@ -476,6 +502,7 @@ mod tests {
 
     #[test]
     fn summaries_reproduce_the_serial_scan_on_order_sensitive_inputs() {
+        let _scans = counted_scans();
         // unify is not associative: bool ⊔ datetime = Σ* but (bool ⊔ int) ⊔ datetime
         // = int. A naive per-band-domain join gets these wrong at some split.
         assert_summaries_match_serial(&["true", "2020-01-01", "7"]);
@@ -490,6 +517,7 @@ mod tests {
 
     #[test]
     fn summaries_reproduce_the_category_heuristic_across_bands() {
+        let _scans = counted_scans();
         // 40 rows of a 2-value vocabulary: the whole column is Category, but every
         // band of < CATEGORY_MIN_ROWS rows on its own would induce Σ*.
         let values: Vec<String> = (0..40)
@@ -513,6 +541,7 @@ mod tests {
 
     #[test]
     fn summary_randomised_splits_match_serial() {
+        let _scans = counted_scans();
         // A deterministic pseudo-random sweep over mixed vocabularies: every domain
         // class appears, nulls included, across many band layouts.
         let vocab = [
@@ -543,5 +572,25 @@ mod tests {
                 .collect();
             assert_summaries_match_serial(&values);
         }
+    }
+
+    #[test]
+    fn fold_states_round_trip_through_domain_order() {
+        assert_eq!(decode_state(encode_state(None)), None);
+        for (index, domain) in Domain::ALL.into_iter().enumerate() {
+            assert_eq!(
+                domain as usize, index,
+                "Domain::ALL is in declaration order"
+            );
+            assert_eq!(decode_state(encode_state(Some(domain))), Some(domain));
+        }
+        // `empty()` + `push` (which, unlike `begin_scan`, leaves the process-wide scan
+        // counter alone) skips null spellings and widens like the serial scan.
+        let mut pushed = InductionSummary::empty();
+        for value in ["1", " NaN ", "2.5", "N/a"] {
+            pushed.push(value);
+        }
+        assert_eq!(pushed.non_null, 2);
+        assert_eq!(pushed.finish(), Domain::Float);
     }
 }

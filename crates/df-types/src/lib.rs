@@ -28,6 +28,10 @@
 //! pandas-like baseline (`df-baseline`) and the scalable engine (`df-engine`) all share
 //! these definitions, which is what lets the benchmark harness compare them fairly.
 
+// Parsing and induction run on every ingested cell inside worker tasks: failures must
+// surface as typed `DfError`s, never as panics. Tests keep their unwraps.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod backend;
 pub mod cancel;
 pub mod cell;

@@ -452,3 +452,177 @@ fn cell_helper_is_linked() {
     let df = read_csv_str("a\n7\n", &CsvOptions::default()).unwrap();
     assert_eq!(df.cell(0, 0).unwrap(), &cell("7"));
 }
+
+/// Null spellings in mixed case and with padding, numeric-looking text, and the
+/// adversarial vocabulary: the cells of the projected-read differential below.
+const NULLISH: [&str; 5] = [" NaN ", "N/a", "None", "NULL", "nan"];
+const NUMERIC: [&str; 8] = ["1", "-7", "0042", "2.5", "1e3", "-0.0", "inf", "3"];
+
+/// One CSV field as a writer would render it: quoted (with `""` escapes) when it
+/// holds the delimiter, a quote or a line break.
+fn csv_field(text: &str) -> String {
+    if text.contains([',', '"', '\n', '\r']) {
+        format!("\"{}\"", text.replace('"', "\"\""))
+    } else {
+        text.to_string()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    // The one chunk reader and the slice-based statistics pass against the serial
+    // reader: a typed, projected chunk read equals `read_csv_str` + `parse_all` +
+    // projection (cells and domains); the statistics folded from field slices equal
+    // `ColumnChunkStats::observe` over the serial reader's raw cells; and ragged or
+    // non-UTF-8 input fails with the same typed error (and row) on every path.
+    #[test]
+    fn proptest_projected_typed_chunk_reads_and_slice_stats_match_serial(
+        rows in 1usize..60,
+        cols in 2usize..6,
+        seed in 0u64..1_000_000,
+        infer_choice in 0u8..2,
+        crlf_choice in 0u8..2,
+    ) {
+        use df_core::algebra::ColumnSelector;
+        use df_core::scan::ColumnChunkStats;
+        use df_engine::executor::ParallelExecutor;
+        use df_engine::ingest::collect_scan_stats;
+        use df_engine::partition::PartitionConfig;
+        use df_storage::csv::{plan_csv_chunks, read_csv_chunk, read_csv_path};
+        use df_types::error::DfError;
+
+        let infer_schema = infer_choice == 1;
+        let terminator = if crlf_choice == 1 { "\r\n" } else { "\n" };
+        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(7);
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        // Even columns lean numeric (so inference types them), odd ones adversarial;
+        // both mix in null spellings.
+        let mut pick = |j: usize| -> &'static str {
+            match next() % 8 {
+                0 => NULLISH[next() % NULLISH.len()],
+                _ if j % 2 == 0 => NUMERIC[next() % NUMERIC.len()],
+                _ => ADVERSARIAL[next() % ADVERSARIAL.len()],
+            }
+        };
+        let records: Vec<String> = (0..rows)
+            .map(|_| (0..cols).map(|j| csv_field(pick(j))).collect::<Vec<_>>().join(","))
+            .collect();
+        let header = (0..cols).map(|j| format!("c{j}")).collect::<Vec<_>>().join(",");
+        let document = |records: &[String]| {
+            let mut out = header.clone() + terminator;
+            for record in records {
+                out.push_str(record);
+                out.push_str(terminator);
+            }
+            out
+        };
+        let content = document(&records);
+        let options = CsvOptions { infer_schema, ..CsvOptions::default() };
+        let serial_raw = read_csv_str(&content, &CsvOptions::default()).unwrap();
+        let mut serial = serial_raw.clone();
+        if infer_schema {
+            serial.parse_all();
+        }
+        // A random non-empty keep set, in random order.
+        let mut keep: Vec<usize> = (0..cols).filter(|_| next() % 2 == 0).collect();
+        if keep.is_empty() {
+            keep.push(next() % cols);
+        }
+        for i in (1..keep.len()).rev() {
+            keep.swap(i, next() % (i + 1));
+        }
+        let expected = df_core::ops::rowwise::projection(
+            &serial,
+            &ColumnSelector::ByPositions(keep.clone()),
+        )
+        .unwrap();
+
+        let path = write_temp(&format!("typed-prop-{seed}-{rows}-{cols}.csv"), &content);
+        let executor = ParallelExecutor::new(1);
+        for chunk_rows in [7usize, 64] {
+            let config = PartitionConfig { target_rows: chunk_rows, target_cols: 32 };
+            let stats = collect_scan_stats(&executor, config, None, &path, &options).unwrap();
+            if infer_schema {
+                let serial_domains: Vec<_> = serial.schema().into_iter().map(Option::unwrap).collect();
+                prop_assert_eq!(stats.domains.clone(), Some(serial_domains));
+            } else {
+                prop_assert_eq!(stats.domains.clone(), None);
+            }
+            let plan = plan_csv_chunks(&path, &options, chunk_rows).unwrap();
+            prop_assert_eq!(plan.chunks.len(), stats.chunks.len());
+            let kept_domains: Option<Vec<_>> =
+                stats.domains.as_ref().map(|d| keep.iter().map(|&k| d[k]).collect());
+            let bands: Vec<DataFrame> = plan
+                .chunks
+                .iter()
+                .map(|chunk| {
+                    read_csv_chunk(&path, &options, &plan, chunk, Some(&keep), kept_domains.as_deref())
+                        .unwrap()
+                })
+                .collect();
+            let assembled = df_core::ops::setops::union_all(bands).unwrap();
+            prop_assert!(
+                assembled.same_data(&expected),
+                "projected typed read diverged (chunk_rows={}, keep={:?}, infer={})\nexpected:\n{}\ngot:\n{}",
+                chunk_rows, keep, infer_schema, expected, assembled
+            );
+            prop_assert_eq!(assembled.schema(), expected.schema());
+            // Statistics folded from slices == `observe` over the serial raw cells.
+            for (chunk, chunk_stats) in plan.chunks.iter().zip(&stats.chunks) {
+                prop_assert_eq!(chunk.start_row, chunk_stats.start_row);
+                for (j, column) in serial_raw.columns().iter().enumerate() {
+                    let mut from_cells = ColumnChunkStats::default();
+                    let mut seen = Vec::new();
+                    for cell in &column.cells()[chunk.start_row..chunk.start_row + chunk.rows] {
+                        from_cells.observe(cell, &mut seen);
+                    }
+                    prop_assert_eq!(&chunk_stats.columns[j], &from_cells);
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+
+        // A ragged row (one field too many) fails with the serial reader's error and
+        // row number on the stats pass and on the chunk read of its chunk.
+        let bad_row = next() % rows;
+        let mut ragged = records.clone();
+        ragged[bad_row].push_str(",extra");
+        let ragged_content = document(&ragged);
+        let serial_err = format!("{}", read_csv_str(&ragged_content, &options).unwrap_err());
+        prop_assert!(serial_err.contains(&format!("data row {bad_row}")), "{}", serial_err);
+        let path = write_temp(&format!("ragged-prop-{seed}-{rows}-{cols}.csv"), &ragged_content);
+        let config = PartitionConfig { target_rows: 7, target_cols: 32 };
+        let stats_err = collect_scan_stats(&executor, config, None, &path, &options).unwrap_err();
+        prop_assert_eq!(format!("{stats_err}"), serial_err.clone());
+        let plan = plan_csv_chunks(&path, &options, 7).unwrap();
+        let chunk = plan.chunks.iter().find(|c| c.start_row + c.rows > bad_row).unwrap();
+        let chunk_err = read_csv_chunk(&path, &options, &plan, chunk, Some(&keep), None).unwrap_err();
+        prop_assert_eq!(format!("{chunk_err}"), serial_err);
+        std::fs::remove_file(&path).ok();
+
+        // A data row that is not UTF-8 fails as an I/O error on every path.
+        let mut bytes = content.clone().into_bytes();
+        let row_start = content.len() - records[bad_row..].iter().map(|r| r.len() + terminator.len()).sum::<usize>();
+        bytes.insert(row_start, 0xFF);
+        let path = temp_dir().join(format!("non-utf8-prop-{seed}-{rows}-{cols}.csv"));
+        std::fs::write(&path, &bytes).unwrap();
+        prop_assert!(matches!(read_csv_path(&path, &options), Err(DfError::Io(_))));
+        prop_assert!(matches!(
+            collect_scan_stats(&executor, config, None, &path, &options),
+            Err(DfError::Io(_))
+        ));
+        let plan = plan_csv_chunks(&path, &options, 7).unwrap();
+        let chunk = plan.chunks.iter().find(|c| c.start_row + c.rows > bad_row).unwrap();
+        prop_assert!(matches!(
+            read_csv_chunk(&path, &options, &plan, chunk, Some(&keep), None),
+            Err(DfError::Io(_))
+        ));
+        std::fs::remove_file(&path).ok();
+    }
+}
